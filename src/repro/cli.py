@@ -16,6 +16,10 @@ the first run builds the violation index from scratch and saves the live
 measurement state to the file; later runs restore it (skipping the build)
 whenever the data and constraints still match, and silently rebuild cold
 when they do not.
+
+User errors (an unknown measure name, a missing input file, a constraint
+naming an attribute the relation does not have) print one ``repro: error:``
+line to standard error and exit with status 2.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Sequence
 from .constraints import Constraint, parse_dc, parse_fd
 from .measures import available_measures, make_measure
 from .relational import Database, load_csv
+from .relational.schema import SchemaError
 from .solvers.anytime import as_budget, solver_scope, status_of, OPTIMAL
 from .violations import build_violation_index
 
@@ -152,25 +157,57 @@ def load_constraints(args: argparse.Namespace) -> list[Constraint]:
     return constraints
 
 
-def run(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
-    args = build_parser().parse_args(argv)
-    constraints = load_constraints(args)
-    database = load_csv(args.csv, args.relation)
-    session = None
-    if args.warm_start or args.stats:
-        from .session import MeasurementSession
-        from .session.snapshot import SnapshotError, load_snapshot
+#: Exit status of a run refused for a user error (argparse's own status).
+USAGE_ERROR = 2
 
-        snap = None
-        if args.warm_start and args.warm_start.exists():
-            try:
-                snap = load_snapshot(args.warm_start)
-            except (SnapshotError, OSError):
-                snap = None  # foreign/corrupt/unreadable file: cold build
-        session = MeasurementSession(constraints, database, warm_start=snap)
-        index = session.index()
-    else:
-        index = build_violation_index(constraints, database)
+
+def _user_error(message: str) -> int:
+    print(f"repro: error: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
+def _open(args: argparse.Namespace, constraints, database):
+    """The violation index, inside a live session when a flag needs one.
+
+    Returns ``(session or None, index)``.  Enumerating the witnesses is
+    where a constraint naming an unknown attribute raises ``SchemaError``.
+    """
+    if not (args.warm_start or args.stats):
+        return None, build_violation_index(constraints, database)
+    from .session import MeasurementSession
+    from .session.snapshot import SnapshotError, load_snapshot
+
+    snap = None
+    if args.warm_start and args.warm_start.exists():
+        try:
+            snap = load_snapshot(args.warm_start)
+        except (SnapshotError, OSError):
+            snap = None  # foreign/corrupt/unreadable file: cold build
+    session = MeasurementSession(constraints, database, warm_start=snap)
+    return session, session.index()
+
+
+def run(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
+    """Measure the CSV named by *argv*; returns the process exit status.
+
+    User errors — an unknown measure, a missing input file, a constraint
+    naming an attribute the relation lacks — print one ``repro: error:``
+    line to standard error and return :data:`USAGE_ERROR`.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        measures = [make_measure(name) for name in args.measures]
+    except KeyError as error:
+        return _user_error(error.args[0])
+    try:
+        constraints = load_constraints(args)
+        database = load_csv(args.csv, args.relation)
+    except FileNotFoundError as error:
+        return _user_error(f"no such file: {error.filename}")
+    try:
+        session, index = _open(args, constraints, database)
+    except SchemaError as error:
+        return _user_error(str(error))
 
     print(f"facts: {len(database)}", file=out)
     print(f"constraints: {len(constraints)}", file=out)
@@ -179,8 +216,7 @@ def run(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
         print(f"warm start: {state} ({args.warm_start})", file=out)
     print(f"minimal inconsistent subsets: {len(index.mi_sets)}", file=out)
     print(f"problematic facts: {len(index.problematic)}", file=out)
-    for name in args.measures:
-        measure = make_measure(name)
+    for name, measure in zip(args.measures, measures):
         if session is not None:
             value = session.measure(measure, budget=args.time_budget)
         elif args.time_budget is not None:

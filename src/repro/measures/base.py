@@ -181,9 +181,32 @@ def needs_finalize_index(measure: "ComponentwiseMeasure") -> bool:
     return type(measure).finalize is not ComponentwiseMeasure.finalize
 
 
+class ContentKey(tuple):
+    """A :func:`component_cache_key` that hashes its content once.
+
+    Equal to (and hashing like) the plain tuple it wraps, so the two find
+    each other in any dict.  Every cache probe, LRU refresh and pin-set
+    test would otherwise re-hash every ``(id, Fact)`` pair.  The stored
+    hash is never pickled — string hashes differ between processes — so
+    unpickling rebuilds it, and warm-start snapshots carry plain tuples
+    (:meth:`ComponentValueCache.export_warm`).
+    """
+
+    def __new__(cls, content):
+        key = super().__new__(cls, content)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (tuple(self),)
+
+
 def component_cache_key(
     component: ViolationIndex, database: Database
-) -> tuple:
+) -> ContentKey:
     """Content-addressed identity of one conflict component.
 
     The key captures everything a :class:`ComponentwiseMeasure` may read
@@ -193,15 +216,11 @@ def component_cache_key(
     therefore imply equal ``component_value`` for every registered
     component-wise measure, no matter which database state produced them.
     """
-    return (
-        frozenset(component.mi_sets),
-        tuple(
-            sorted(
-                (identifier, database[identifier])
-                for identifier in component.problematic
-            )
-        ),
+    members = sorted(
+        (identifier, database[identifier])
+        for identifier in component.problematic
     )
+    return ContentKey((frozenset(component.mi_sets), tuple(members)))
 
 
 def _plain_data(value) -> bool:
@@ -380,7 +399,7 @@ class ComponentValueCache:
             token = self._token_of(measure)
             if token is None:
                 continue
-            exported.append((token, key, float(value)))
+            exported.append((token, tuple(key), float(value)))
         return exported
 
     def absorb_warm(self, entries) -> None:
@@ -388,7 +407,8 @@ class ComponentValueCache:
 
         Malformed entries (unhashable tokens or keys in a hand-crafted or
         corrupted snapshot) are dropped rather than raised — a warm start
-        degrades, never crashes.
+        degrades, never crashes.  Keys arrive as plain tuples; they equal
+        and hash like the :class:`ContentKey` probes that consume them.
         """
         for token, key, value in entries:
             if status_of(value) != OPTIMAL:

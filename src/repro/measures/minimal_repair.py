@@ -6,7 +6,10 @@ optional CP-SAT (when ``ortools`` is importable) → deadline-aware
 pure-python branch-and-bound → greedy upper bound + LP/half-integral
 lower bound.  The greedy cover is a real repair, so its cost is always a
 valid upper bound; the LP relaxation (half-integral max-flow when every
-MI set is a pair) bounds from below.
+MI set is a pair) bounds from below.  On width ≤ 2 components that LP is
+solved once and shared: the exact stage reads its Nemhauser–Trotter kernel
+off it, the bounds read its value, and ``I_lin_R`` over the same component
+reuses it too (:func:`~repro.repairs.minimum_repair.half_integral_lp`).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from ..repairs.costs import CostFunction, deletion_costs, subset_cost
 from ..repairs.minimum_repair import (
     component_hitting_set,
     component_lp_relaxation,
+    half_integral_lp,
 )
 from ..repairs.update_repair import minimum_update_repair
 from ..solvers import anytime
@@ -192,6 +196,11 @@ def _ir_exact_stage(measure, constraints, database, component, deadline):
             weights,
             max_nodes=measure.max_nodes,
             deadline=deadline,
+            _half_integral=(
+                half_integral_lp(component, weights)[1]
+                if component.max_width <= 2
+                else None
+            ),
         )
     except (anytime.SolveTimeout, BudgetExceeded):
         lower, upper = _ir_bounds(measure, database, component)

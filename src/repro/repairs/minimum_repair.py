@@ -4,6 +4,12 @@ For anti-monotonic constraints and the subset system, the minimum repair is
 the minimum-weight set of facts hitting every minimal inconsistent subset
 (the ILP of Figure 2).  This module exposes both the optimal value and the
 actual repair, and the corresponding LP relaxation used by ``I_lin_R``.
+
+When every MI set of a component has at most two facts, the relaxation is
+the half-integral vertex-cover LP, and its optimum doubles as the
+Nemhauser–Trotter kernel of the exact solver.  :func:`half_integral_lp`
+solves it once per component and both measures read it: ``I_lin_R`` its
+value, ``I_R`` its partition into forced, excluded and branched facts.
 """
 
 from __future__ import annotations
@@ -73,9 +79,54 @@ def component_hitting_set(
         database, cost_function or subset_cost, component.problematic
     )
     value, cover = minimum_hitting_set(
-        list(component.mi_sets), weights, max_nodes=max_nodes
+        list(component.mi_sets),
+        weights,
+        max_nodes=max_nodes,
+        _half_integral=(
+            half_integral_lp(component, weights)[1]
+            if component.max_width <= 2
+            else None
+        ),
     )
     return value, set(cover)
+
+
+def _pair_instance(
+    component: ViolationIndex,
+) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+    """A width ≤ 2 component as ``(vertices, pairs, self-loops)``."""
+    pairs = []
+    loops = []
+    vertices: set[int] = set()
+    for group in component.mi_sets:
+        vertices |= group
+        if len(group) == 1:
+            loops.append(next(iter(group)))
+        else:
+            u, v = sorted(group)
+            pairs.append((u, v))
+    return sorted(vertices), pairs, loops
+
+
+def half_integral_lp(
+    component: ViolationIndex, weights: Mapping[int, float]
+) -> tuple[float, dict[int, Fraction]]:
+    """The half-integral LP optimum of one width ≤ 2 component.
+
+    Pairs are edges and singletons self-loops; the assignment is exact
+    (values in {0, ½, 1}).  The solution is memoized on the component for
+    exactly the MI family and weights it was solved with, so ``I_lin_R``
+    and ``I_R`` over one component share a single solve, while a component
+    object that outlives a change of its facts' costs (or of its family)
+    is solved afresh.
+    """
+    memo = component._lp_memo
+    if memo is not None and memo[0] == component.mi_sets and memo[1] == weights:
+        return memo[2]
+    vertices, pairs, loops = _pair_instance(component)
+    solution = vertex_cover_lp(vertices, pairs, weights, self_loops=loops)
+    component._lp_memo = (list(component.mi_sets), dict(weights), solution)
+    return solution
 
 
 def greedy_subset_repair(
@@ -133,19 +184,7 @@ def component_lp_relaxation(
         database, cost_function or subset_cost, component.problematic
     )
     if component.max_width <= 2:
-        pairs = []
-        loops = []
-        vertices = set()
-        for group in component.mi_sets:
-            vertices |= group
-            if len(group) == 1:
-                loops.append(next(iter(group)))
-            else:
-                u, v = sorted(group)
-                pairs.append((u, v))
-        value, assignment = vertex_cover_lp(
-            sorted(vertices), pairs, weights, self_loops=loops
-        )
+        value, assignment = half_integral_lp(component, weights)
         return value, {
             vertex: float(fraction) for vertex, fraction in assignment.items()
         }

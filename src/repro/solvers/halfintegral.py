@@ -17,6 +17,10 @@ edge arcs with infinite capacity; the min cut picks the cover.
 This is the fast path used by ``I_lin_R`` whenever every minimal inconsistent
 subset has at most two facts (all FDs, and every 2-variable DC); it also
 powers the Nemhauser–Trotter kernelization inside the exact ``I_R`` solver.
+Both readings of one component come from a single solve: the ``I_lin_R``
+optimum, restricted to the pairs left after forcing the self-loops, *is*
+the NT partition (the min cut's residual-reachable side is the same for
+every maximum flow), so :func:`kernel_partition` reads the kernel off it.
 """
 
 from __future__ import annotations
@@ -100,7 +104,19 @@ def nemhauser_trotter_kernel(
     subset of *halves*; the exact solver branches only on *halves*.
     """
     _, x = vertex_cover_lp(vertices, edges, weights)
-    ones = {v for v, value in x.items() if value == 1}
-    zeros = {v for v, value in x.items() if value == 0}
-    halves = {v for v, value in x.items() if value == Fraction(1, 2)}
+    return kernel_partition(vertices, x)
+
+
+def kernel_partition(
+    vertices: Sequence[Vertex], x: Mapping[Vertex, Fraction]
+) -> tuple[set[Vertex], set[Vertex], set[Vertex]]:
+    """``(ones, zeros, halves)`` of *vertices* under a half-integral optimum.
+
+    *x* may assign more vertices than *vertices* (e.g. the LP of a whole
+    component, self-loops included, read for the pairs left after forcing
+    them): only the listed vertices are partitioned, in their given order.
+    """
+    ones = {v for v in vertices if x[v] == 1}
+    zeros = {v for v in vertices if x[v] == 0}
+    halves = {v for v in vertices if x[v] == Fraction(1, 2)}
     return ones, zeros, halves

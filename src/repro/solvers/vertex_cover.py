@@ -6,7 +6,9 @@ every minimal inconsistent subset:
 * when every MI subset has ≤ 2 facts (FDs, 2-variable DCs) this is weighted
   **vertex cover** on the conflict graph — solved by Nemhauser–Trotter
   kernelization (half-integral LP) followed by branching on the half kernel,
-  per connected component;
+  per connected component.  The kernel LP is the ``I_lin_R`` LP of the same
+  component, so a caller that already solved it hands it over instead of
+  solving it twice;
 * otherwise it is a **hitting set** over a bounded-width hypergraph — solved
   by depth-first branching on the elements of an uncovered set, with the
   greedy cover as incumbent and an LP bound for pruning.
@@ -22,9 +24,10 @@ incumbent found before the interrupt remains a valid upper bound.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .halfintegral import nemhauser_trotter_kernel, vertex_cover_lp
+from .halfintegral import kernel_partition, vertex_cover_lp
 from .ilp import BudgetExceeded
 
 Element = Hashable
@@ -35,11 +38,20 @@ def minimum_hitting_set(
     weights: Mapping[Element, float] | None = None,
     max_nodes: int = 500_000,
     deadline=None,
+    *,
+    _half_integral: Mapping[Element, Fraction] | None = None,
 ) -> tuple[float, set[Element]]:
     """Exact minimum-weight hitting set of *sets*.
 
     Empty input yields ``(0.0, set())``.  A set that is itself empty makes
     the instance infeasible and raises ``ValueError``.
+
+    ``_half_integral`` is internal plumbing for callers that already hold
+    the half-integral LP optimum of exactly these sets and weights (pairs
+    as edges, singletons as self-loops — see
+    :func:`repro.repairs.minimum_repair.half_integral_lp`): the
+    vertex-cover path then reads its Nemhauser–Trotter kernel off that
+    solution instead of solving the same LP again.
     """
     deduped = _minimize_family(sets)
     if not deduped:
@@ -66,7 +78,7 @@ def minimum_hitting_set(
 
     if all(len(group) == 2 for group in remaining):
         value, cover = _exact_vertex_cover(
-            remaining, weight_of, max_nodes, deadline
+            remaining, weight_of, max_nodes, deadline, _half_integral
         )
     else:
         value, cover = _exact_hitting_set(
@@ -107,13 +119,16 @@ def _exact_vertex_cover(
     weight_of: Mapping[Element, float],
     max_nodes: int,
     deadline=None,
+    half_integral: Mapping[Element, Fraction] | None = None,
 ) -> tuple[float, set[Element]]:
     edges = []
     for group in pair_sets:
         left, right = sorted(group, key=repr)
         edges.append((left, right))
     vertices = sorted({v for edge in edges for v in edge}, key=repr)
-    ones, zeros, halves = nemhauser_trotter_kernel(vertices, edges, weight_of)
+    if half_integral is None:
+        _, half_integral = vertex_cover_lp(vertices, edges, weight_of)
+    ones, zeros, halves = kernel_partition(vertices, half_integral)
     cover = set(ones)
     kernel_edges = [
         (u, v) for u, v in edges if u in halves and v in halves
@@ -286,15 +301,35 @@ def _exact_hitting_set(
 def _minimize_family(
     sets: Sequence[frozenset[Element]],
 ) -> list[frozenset[Element]]:
-    """Drop duplicates and supersets (hitting a subset hits the superset)."""
-    unique = sorted(set(sets), key=lambda group: (len(group), repr(sorted(group, key=repr))))
-    for group in unique:
-        if not group:
-            raise ValueError("an empty conflict set makes the instance infeasible")
+    """Drop duplicates and supersets (hitting a subset hits the superset).
+
+    The result is ordered by ``(len, repr of the repr-sorted members)``.
+    Kept sets are indexed under one member each: a kept subset of *group*
+    has all its members in *group*, so probing the index at *group*'s
+    members finds every candidate without scanning the whole kept list.
+    """
+
+    def order(group: frozenset[Element]) -> tuple[int, str]:
+        # ``repr(sorted(group, key=repr))``, with one repr per member.
+        return len(group), "[" + ", ".join(sorted(map(repr, group))) + "]"
+
+    unique = sorted(set(sets), key=order)
+    if unique and not unique[0]:
+        raise ValueError("an empty conflict set makes the instance infeasible")
+    if not unique or len(unique[0]) == len(unique[-1]):
+        # Equal-width families are antichains: nothing to drop.
+        return unique
     kept: list[frozenset[Element]] = []
+    anchored: dict[Element, list[frozenset[Element]]] = {}
     for group in unique:
-        if not any(other <= group for other in kept):
-            kept.append(group)
+        if any(
+            other <= group
+            for element in group
+            for other in anchored.get(element, ())
+        ):
+            continue
+        kept.append(group)
+        anchored.setdefault(next(iter(group)), []).append(group)
     return kept
 
 

@@ -93,6 +93,11 @@ class ViolationIndex:
     _components_cache: "tuple[tuple, list[ViolationIndex]] | None" = field(
         default=None, repr=False, compare=False
     )
+    # ``(MI family, weights, solution)`` of the last half-integral LP solved
+    # over this index (see ``repairs.minimum_repair.half_integral_lp``).
+    _lp_memo: "tuple[list, dict, tuple] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def problematic(self) -> set[int]:

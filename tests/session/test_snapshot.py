@@ -10,6 +10,12 @@ to the cold build rather than restore anything (never a wrong answer).
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.constraints import FunctionalDependency
@@ -169,6 +175,69 @@ class TestRoundTrip:
             restored.measure_all(make_measures(TABLE2_MEASURES))
             assert restored.component_cache.misses == 0
             assert restored.component_cache.hits > 0
+
+    def test_warm_cache_hits_under_another_hash_seed(self, tmp_path):
+        """Restored cache keys re-hash in the restoring process.
+
+        String hashes differ between processes, so a content key that
+        carried its donor's hash would never be found again.  Donor and
+        restorer run in subprocesses with different ``PYTHONHASHSEED``s.
+        """
+        path = tmp_path / "state.snap"
+        donor = _run_with_hash_seed("1", "donor", path)
+        restored = _run_with_hash_seed("2", "restore", path)
+        assert restored["warm_started"]
+        assert restored["misses"] == 0
+        assert restored["hits"] > 0
+        assert restored["answer"] == donor["answer"]
+
+
+_HASH_SEED_SCRIPT = """
+import json, sys
+from repro.constraints import FunctionalDependency
+from repro.measures import TABLE2_MEASURES, make_measures
+from repro.relational import Database, Schema
+from repro.session import MeasurementSession, load_snapshot, save_snapshot
+
+mode, path = sys.argv[1], sys.argv[2]
+schema = Schema.from_dict({"Stay": ["City", "Country", "Hotel"]})
+rows = [
+    (city, country, hotel)
+    for city, country in [("Paris", "FR"), ("Paris", "DE"), ("Lyon", "FR"),
+                          ("Lyon", "IT"), ("Lyon", "ES"), ("Bonn", "DE")]
+    for hotel in ("Ritz", "Ibis")
+]
+database = Database.from_rows(schema, "Stay", rows)
+constraints = [
+    FunctionalDependency("Stay", {"City"}, {"Country"}),
+    FunctionalDependency("Stay", {"Hotel", "City"}, {"Country"}),
+]
+warm = load_snapshot(path) if mode == "restore" else None
+with MeasurementSession(constraints, database, warm_start=warm) as session:
+    answer = session.measure_all(make_measures(TABLE2_MEASURES))
+    if mode == "donor":
+        save_snapshot(session.snapshot(), path)
+    cache = session.component_cache
+    print(json.dumps({
+        "warm_started": session.warm_started,
+        "hits": cache.hits,
+        "misses": cache.misses,
+        "answer": {name: value.hex() for name, value in answer.items()},
+    }))
+"""
+
+
+def _run_with_hash_seed(seed: str, mode: str, path) -> dict:
+    source = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(source))
+    result = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT, mode, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 class TestFallback:

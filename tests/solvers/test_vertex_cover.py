@@ -4,8 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.solvers.vertex_cover import greedy_hitting_set, minimum_hitting_set
+from repro.solvers.vertex_cover import (
+    _minimize_family,
+    greedy_hitting_set,
+    minimum_hitting_set,
+)
 
 
 def brute_force(sets, weights=None):
@@ -130,3 +136,73 @@ class TestAgainstBruteForce:
         value, cover = minimum_hitting_set(sets)
         assert value == pytest.approx(brute_force(sets))
         assert all(group & cover for group in sets)
+
+
+# ----------------------------------------------------------------------
+# Family minimization: indexed scan == the quadratic reference
+# ----------------------------------------------------------------------
+def _reference_minimize(sets):
+    """The original O(n²) minimization: sort, then scan every kept set."""
+    unique = sorted(
+        set(sets), key=lambda group: (len(group), repr(sorted(group, key=repr)))
+    )
+    for group in unique:
+        if not group:
+            raise ValueError("an empty conflict set makes the instance infeasible")
+    kept = []
+    for group in unique:
+        if not any(other <= group for other in kept):
+            kept.append(group)
+    return kept
+
+
+# Mixed element types on purpose: ints whose repr order differs from their
+# numeric order (9 vs 10), strings and tuples, so the repr-based sort key
+# is exercised beyond the fact-id case.
+_elements = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.sampled_from(["a", "b", "c", "ab", "10"]),
+    st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from("xy")),
+)
+_group = st.frozensets(_elements, min_size=1, max_size=4)
+
+
+@st.composite
+def _families(draw):
+    """Families with duplicates, singletons and nested supersets."""
+    family = draw(st.lists(_group, max_size=14))
+    if family:
+        # Duplicates of drawn sets.
+        family += draw(st.lists(st.sampled_from(family), max_size=3))
+        # Supersets of drawn sets (nested chains included).
+        for base in draw(st.lists(st.sampled_from(family), max_size=4)):
+            family.append(base | draw(_group))
+        # Singletons carved out of drawn sets.
+        for base in draw(st.lists(st.sampled_from(family), max_size=3)):
+            family.append(frozenset([sorted(base, key=repr)[0]]))
+    return draw(st.permutations(family))
+
+
+class TestMinimizeFamily:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_families())
+    def test_matches_quadratic_reference(self, family):
+        assert _minimize_family(family) == _reference_minimize(family)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_families())
+    def test_empty_set_still_rejected(self, family):
+        with pytest.raises(ValueError):
+            _minimize_family(family + [frozenset()])
+
+    def test_order_is_repr_order_not_numeric(self):
+        family = [frozenset({10, 11}), frozenset({9, 12}), frozenset({9})]
+        assert _minimize_family(family) == [frozenset({9}), frozenset({10, 11})]
+
+    def test_equal_width_family_kept_whole(self):
+        family = [frozenset("ab"), frozenset("bc"), frozenset("ab")]
+        assert _minimize_family(family) == [frozenset("ab"), frozenset("bc")]

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,61 @@ class TestStatsFlag:
         assert "warm start: cold build" in text
         assert '"engine"' in text
         assert snap.exists()
+
+
+class TestUserErrors:
+    """User errors end in one stderr line and exit status 2, no traceback."""
+
+    @staticmethod
+    def _refused(capsys, argv) -> str:
+        code, text = invoke(argv)
+        assert code == 2
+        assert text == ""
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        return lines[0]
+
+    def test_unknown_measure(self, csv_file, capsys):
+        line = self._refused(
+            capsys,
+            [str(csv_file), "--fd", "R: Name -> Country", "--measures", "I_MI", "I_XX"],
+        )
+        assert "unknown measure 'I_XX'" in line
+
+    def test_missing_csv(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        line = self._refused(capsys, [str(missing), "--fd", "R: Name -> Country"])
+        assert str(missing) in line
+
+    def test_unknown_fd_attribute(self, csv_file, capsys):
+        line = self._refused(capsys, [str(csv_file), "--fd", "R: Town -> Country"])
+        assert "no attribute 'Town'" in line
+
+    def test_unknown_attribute_with_session(self, csv_file, capsys, tmp_path):
+        line = self._refused(
+            capsys,
+            [
+                str(csv_file),
+                "--fd",
+                "R: Town -> Country",
+                "--warm-start",
+                str(tmp_path / "state.snap"),
+            ],
+        )
+        assert "no attribute 'Town'" in line
+
+    def test_module_entry_point_exit_status(self, tmp_path):
+        source = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(source))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", str(tmp_path / "absent.csv"),
+             "--fd", "R: A -> B"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("repro: error: no such file: ")
+        assert "Traceback" not in result.stderr
