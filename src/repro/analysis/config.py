@@ -235,7 +235,8 @@ COMPONENT_HELPERS = frozenset(
     {
         "solve_component",  # anytime chain entry (wraps the exact lambda)
         "component_hitting_set",  # vertex-cover/B&B hitting set
-        "component_lp_relaxation",  # LP lower bound
+        "component_lp_relaxation",  # LP optimum and assignment
+        "component_lp_value",  # LP optimum (I_lin_R, lower bound)
         "component_cache_key",  # the content key itself
     }
 )

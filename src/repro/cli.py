@@ -17,9 +17,10 @@ measurement state to the file; later runs restore it (skipping the build)
 whenever the data and constraints still match, and silently rebuild cold
 when they do not.
 
-User errors (an unknown measure name, a missing input file, a constraint
-naming an attribute the relation does not have) print one ``repro: error:``
-line to standard error and exit with status 2.
+User errors (an unknown measure name, a missing input file, a malformed
+constraint, a constraint naming a relation or attribute the data does not
+have) print one ``repro: error:`` line to standard error and exit with
+status 2.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .constraints import Constraint, parse_dc, parse_fd
+from .constraints import Constraint, ConstraintParseError, parse_dc, parse_fd
 from .measures import available_measures, make_measure
 from .relational import Database, load_csv
 from .relational.schema import SchemaError
@@ -142,16 +143,21 @@ def load_constraints(args: argparse.Namespace) -> list[Constraint]:
             if not line or line.startswith("#"):
                 continue
             kind, _, body = line.partition(":")
+            kind = kind.strip().lower()
             body = body.strip()
-            if kind.strip().lower() == "fd":
-                constraints.append(parse_fd(body))
-            elif kind.strip().lower() == "dc":
-                constraints.append(parse_dc(body, args.relation))
-            else:
+            if kind not in ("fd", "dc"):
                 raise SystemExit(
                     f"{args.constraints}:{line_number}: rules must start "
                     "with 'fd:' or 'dc:'"
                 )
+            try:
+                constraints.append(
+                    parse_fd(body) if kind == "fd" else parse_dc(body, args.relation)
+                )
+            except ConstraintParseError as error:
+                raise ConstraintParseError(
+                    f"{args.constraints}:{line_number}: {error}"
+                ) from None
     if not constraints:
         raise SystemExit("no constraints given (use --fd/--dc/--constraints)")
     return constraints
@@ -164,6 +170,16 @@ USAGE_ERROR = 2
 def _user_error(message: str) -> int:
     print(f"repro: error: {message}", file=sys.stderr)
     return USAGE_ERROR
+
+
+def _unknown_relation(constraints, database) -> str | None:
+    """The first relation a constraint names that the data lacks, if any."""
+    known = set(database.schema.relation_names())
+    for constraint in constraints:
+        for relation, _ in sorted(constraint.attributes_involved()):
+            if relation not in known:
+                return relation
+    return None
 
 
 def _open(args: argparse.Namespace, constraints, database):
@@ -190,9 +206,10 @@ def _open(args: argparse.Namespace, constraints, database):
 def run(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
     """Measure the CSV named by *argv*; returns the process exit status.
 
-    User errors — an unknown measure, a missing input file, a constraint
-    naming an attribute the relation lacks — print one ``repro: error:``
-    line to standard error and return :data:`USAGE_ERROR`.
+    User errors — an unknown measure, a missing input file, a malformed
+    constraint, a constraint naming a relation or attribute the data lacks
+    — print one ``repro: error:`` line to standard error and return
+    :data:`USAGE_ERROR`.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -204,6 +221,14 @@ def run(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
         database = load_csv(args.csv, args.relation)
     except FileNotFoundError as error:
         return _user_error(f"no such file: {error.filename}")
+    except ConstraintParseError as error:
+        return _user_error(f"malformed constraint: {error}")
+    relation = _unknown_relation(constraints, database)
+    if relation is not None:
+        return _user_error(
+            f"unknown relation {relation!r} in a constraint "
+            f"(the data has: {', '.join(database.schema.relation_names())})"
+        )
     try:
         session, index = _open(args, constraints, database)
     except SchemaError as error:

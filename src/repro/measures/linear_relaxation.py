@@ -13,10 +13,7 @@ from typing import Sequence
 from ..constraints.base import Constraint
 from ..relational.database import Database
 from ..repairs.costs import CostFunction
-from ..repairs.minimum_repair import (
-    component_lp_relaxation,
-    repair_lp_relaxation,
-)
+from ..repairs.minimum_repair import component_lp_value, repair_lp_relaxation
 from ..violations.minimal import ViolationIndex
 from .base import ComponentwiseMeasure
 
@@ -44,10 +41,9 @@ class LinearRelaxationMeasure(ComponentwiseMeasure):
         database: Database,
         component: ViolationIndex,
     ) -> float:
-        value, _ = component_lp_relaxation(
+        return component_lp_value(
             component, database, cost_function=self.cost_function
         )
-        return value
 
     def assignment(
         self,

@@ -21,7 +21,7 @@ from ..relational.database import Database
 from ..repairs.costs import CostFunction, deletion_costs, subset_cost
 from ..repairs.minimum_repair import (
     component_hitting_set,
-    component_lp_relaxation,
+    component_lp_value,
     half_integral_lp,
 )
 from ..repairs.update_repair import minimum_update_repair
@@ -129,9 +129,7 @@ def _ir_bounds(measure, database, component) -> tuple[float, float]:
     weights = _ir_weights(measure, database, component)
     cover = greedy_hitting_set(list(component.mi_sets), weights)
     upper = float(sum(weights[element] for element in cover))
-    lower, _ = component_lp_relaxation(
-        component, database, measure.cost_function
-    )
+    lower = component_lp_value(component, database, measure.cost_function)
     return float(lower), upper
 
 
@@ -176,9 +174,7 @@ def _ir_cpsat_stage(measure, constraints, database, component, deadline):
     if status == cp_model.OPTIMAL and integral:
         # Integral weights sum exactly in float, independent of order.
         return cost
-    lower, _ = component_lp_relaxation(
-        component, database, measure.cost_function
-    )
+    lower = component_lp_value(component, database, measure.cost_function)
     return anytime.bounded(cost, float(lower), cost, anytime.FEASIBLE)
 
 

@@ -174,6 +174,20 @@ def repair_lp_relaxation(
     return total, x
 
 
+def component_lp_value(
+    component: ViolationIndex,
+    database: Database,
+    cost_function: CostFunction | None = None,
+) -> float:
+    """The optimal value of the relaxed repair LP on one connected component."""
+    if component.max_width > 2:
+        return component_lp_relaxation(component, database, cost_function)[0]
+    weights = deletion_costs(
+        database, cost_function or subset_cost, component.problematic
+    )
+    return half_integral_lp(component, weights)[0]
+
+
 def component_lp_relaxation(
     component: ViolationIndex,
     database: Database,

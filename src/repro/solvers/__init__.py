@@ -9,15 +9,12 @@ from .cliques import (
 )
 from .halfintegral import nemhauser_trotter_kernel, vertex_cover_lp
 from .ilp import BudgetExceeded, IlpSolution, solve_binary_ilp
-from .maxflow import INFINITY, FlowNetwork
 from .simplex import LpProblem, LpRow, LpSolution, LpStatus, Sense, solve_lp
 from .vertex_cover import greedy_hitting_set, minimum_hitting_set
 
 __all__ = [
     "BudgetExceeded",
     "EnumerationBudgetExceeded",
-    "FlowNetwork",
-    "INFINITY",
     "IlpSolution",
     "LpProblem",
     "LpRow",

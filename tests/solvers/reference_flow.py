@@ -1,13 +1,17 @@
-"""Dinic's maximum-flow algorithm.
+"""Reference oracle: a generic Dinic max-flow and the LP built on it.
 
-Used by the half-integral LP specialization (Nemhauser–Trotter) to compute
-minimum-weight vertex covers of bipartite graphs via the max-flow/min-cut
-duality (König's theorem, weighted form).
+:class:`FlowNetwork` is a general directed flow network (one object per
+arc, recursive blocking-flow search).  :func:`reference_vertex_cover_lp`
+solves the half-integral vertex-cover LP through it the textbook way — the
+flow nodes sorted by ``repr``, one ``add_edge`` per arc of the double cover
+— and is what ``repro.solvers.halfintegral.vertex_cover_lp`` must match
+value for value and key for key.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 INFINITY = float("inf")
 
@@ -117,3 +121,51 @@ class FlowNetwork:
                     return pushed
             iterators[node] += 1
         return 0.0
+
+
+def reference_vertex_cover_lp(vertices, edges, weights=None, self_loops=()):
+    """The half-integral LP ``(value, x)`` through :class:`FlowNetwork`."""
+    weight_of = {vertex: 1.0 for vertex in vertices}
+    if weights:
+        for vertex, weight in weights.items():
+            if weight < 0:
+                raise ValueError(f"negative weight for {vertex!r}")
+            weight_of[vertex] = float(weight)
+
+    forced = set(self_loops)
+    x = {vertex: Fraction(0) for vertex in vertices}
+    for vertex in forced:
+        x[vertex] = Fraction(1)
+
+    active_edges = [
+        (u, v) for u, v in edges if u not in forced and v not in forced
+    ]
+    active_vertices = sorted(
+        {u for u, _ in active_edges} | {v for _, v in active_edges},
+        key=repr,
+    )
+    if active_edges:
+        index = {vertex: i for i, vertex in enumerate(active_vertices)}
+        n = len(active_vertices)
+        source = 2 * n
+        sink = 2 * n + 1
+        network = FlowNetwork(2 * n + 2)
+        for vertex, i in index.items():
+            network.add_edge(source, i, weight_of[vertex])
+            network.add_edge(n + i, sink, weight_of[vertex])
+        for u, v in active_edges:
+            iu, iv = index[u], index[v]
+            network.add_edge(iu, n + iv, INFINITY)
+            network.add_edge(iv, n + iu, INFINITY)
+        network.max_flow(source, sink)
+        reachable = network.min_cut_reachable(source)
+        for vertex, i in index.items():
+            half = Fraction(0)
+            if i not in reachable:
+                half += Fraction(1, 2)
+            if (n + i) in reachable:
+                half += Fraction(1, 2)
+            x[vertex] = half
+
+    value = sum(weight_of[vertex] * float(frac) for vertex, frac in x.items())
+    return value, x

@@ -1,11 +1,11 @@
-"""Unit tests for Dinic's max-flow, cross-checked with networkx."""
+"""Unit tests for the reference Dinic max-flow, cross-checked with networkx."""
 
 import random
 
 import networkx as nx
 import pytest
 
-from repro.solvers.maxflow import INFINITY, FlowNetwork
+from .reference_flow import INFINITY, FlowNetwork
 
 
 class TestBasics:

@@ -255,6 +255,53 @@ class TestUserErrors:
         )
         assert "no attribute 'Town'" in line
 
+    @pytest.mark.parametrize(
+        "flag, text, detail",
+        [
+            ("--fd", "R A B", "missing '->'"),
+            ("--fd", "R: A ->", "empty right-hand side"),
+            ("--dc", "not(s.A = t.A)", "unsupported tuple variable 's'"),
+            ("--dc", "not(t.Name > )", "empty term"),
+        ],
+    )
+    def test_malformed_constraint(self, csv_file, capsys, flag, text, detail):
+        line = self._refused(capsys, [str(csv_file), flag, text])
+        assert "malformed constraint" in line
+        assert detail in line
+
+    def test_malformed_constraints_file_line(self, csv_file, capsys, tmp_path):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("fd: R: Name -> Country\nfd: R: Name Country\n")
+        line = self._refused(capsys, [str(csv_file), "--constraints", str(rules)])
+        assert f"{rules}:2: FD 'R: Name Country' is missing '->'" in line
+
+    def test_malformed_dc_in_constraints_file(self, csv_file, capsys, tmp_path):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("# comment\ndc: not(t.Name = s.Name)\n")
+        line = self._refused(capsys, [str(csv_file), "--constraints", str(rules)])
+        assert f"{rules}:2: unsupported tuple variable" in line
+
+    def test_unknown_fd_relation(self, csv_file, capsys):
+        line = self._refused(capsys, [str(csv_file), "--fd", "S: Name -> Country"])
+        assert "unknown relation 'S'" in line
+
+    def test_unknown_relation_with_session(self, csv_file, capsys, tmp_path):
+        snapshot = tmp_path / "state.snap"
+        line = self._refused(
+            capsys,
+            [
+                str(csv_file),
+                "--fd",
+                "R: Name -> Country",
+                "--fd",
+                "Other: Name -> Country",
+                "--warm-start",
+                str(snapshot),
+            ],
+        )
+        assert "unknown relation 'Other'" in line
+        assert not snapshot.exists()
+
     def test_module_entry_point_exit_status(self, tmp_path):
         source = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(source))
