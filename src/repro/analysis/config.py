@@ -142,6 +142,7 @@ PREVIEW_PROTECTED_ATTRS = frozenset(
     {
         # ComponentTopology maintained state
         "_tags",
+        "_keyed",
         "_binding",
         "_dominator",
         "_components",

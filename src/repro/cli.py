@@ -17,10 +17,10 @@ measurement state to the file; later runs restore it (skipping the build)
 whenever the data and constraints still match, and silently rebuild cold
 when they do not.
 
-User errors (an unknown measure name, a missing input file, a malformed
-constraint, a constraint naming a relation or attribute the data does not
-have) print one ``repro: error:`` line to standard error and exit with
-status 2.
+User errors (an unknown measure name, a missing input file, no
+constraints, a malformed constraint, a constraint naming a relation or
+attribute the data does not have) print one ``repro: error:`` line to
+standard error and exit with status 2.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def load_constraints(args: argparse.Namespace) -> list[Constraint]:
             kind = kind.strip().lower()
             body = body.strip()
             if kind not in ("fd", "dc"):
-                raise SystemExit(
+                raise ConstraintParseError(
                     f"{args.constraints}:{line_number}: rules must start "
                     "with 'fd:' or 'dc:'"
                 )
@@ -158,8 +158,6 @@ def load_constraints(args: argparse.Namespace) -> list[Constraint]:
                 raise ConstraintParseError(
                     f"{args.constraints}:{line_number}: {error}"
                 ) from None
-    if not constraints:
-        raise SystemExit("no constraints given (use --fd/--dc/--constraints)")
     return constraints
 
 
@@ -206,9 +204,9 @@ def _open(args: argparse.Namespace, constraints, database):
 def run(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
     """Measure the CSV named by *argv*; returns the process exit status.
 
-    User errors — an unknown measure, a missing input file, a malformed
-    constraint, a constraint naming a relation or attribute the data lacks
-    — print one ``repro: error:`` line to standard error and return
+    User errors — an unknown measure, a missing input file, no constraints,
+    a malformed constraint, a constraint naming a relation or attribute the
+    data lacks — print one ``repro: error:`` line to standard error and return
     :data:`USAGE_ERROR`.
     """
     args = build_parser().parse_args(argv)
@@ -218,6 +216,8 @@ def run(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
         return _user_error(error.args[0])
     try:
         constraints = load_constraints(args)
+        if not constraints:
+            return _user_error("no constraints given (use --fd/--dc/--constraints)")
         database = load_csv(args.csv, args.relation)
     except FileNotFoundError as error:
         return _user_error(f"no such file: {error.filename}")

@@ -308,12 +308,16 @@ def _minimize_family(
     has all its members in *group*, so probing the index at *group*'s
     members finds every candidate without scanning the whole kept list.
     """
+    unique = set(sets)
+    # One ``repr`` per distinct element, however many sets it is in.
+    reprs = {element: repr(element) for element in frozenset().union(*unique)}
+    name = reprs.__getitem__
 
     def order(group: frozenset[Element]) -> tuple[int, str]:
-        # ``repr(sorted(group, key=repr))``, with one repr per member.
-        return len(group), "[" + ", ".join(sorted(map(repr, group))) + "]"
+        # ``repr(sorted(group, key=repr))``, from the precomputed reprs.
+        return len(group), "[" + ", ".join(sorted(map(name, group))) + "]"
 
-    unique = sorted(set(sets), key=order)
+    unique = sorted(unique, key=order)
     if unique and not unique[0]:
         raise ValueError("an empty conflict set makes the instance infeasible")
     if not unique or len(unique[0]) == len(unique[-1]):

@@ -14,7 +14,7 @@ with hash indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..constraints.base import ComparisonOp, Constraint
 from ..constraints.dc import DenialConstraint, Predicate
@@ -55,22 +55,31 @@ def _connected_groups(
         return root
 
     for group in groups:
-        anchor = None
+        root = None
         for fact in group:
-            parent.setdefault(fact, fact)
-            if anchor is None:
-                anchor = fact
-            else:
-                ra, rb = find(anchor), find(fact)
-                if ra != rb:
-                    parent[rb] = ra
+            # One root lookup per member.  Path compression leaves most
+            # facts one hop below their root, so ``find`` runs only on
+            # longer chains.
+            top = parent.get(fact)
+            if top is None:
+                top = parent[fact] = fact
+            elif parent[top] != top:
+                top = find(fact)
+            # The group's first root stays a root: the others hang under it.
+            if root is None:
+                root = top
+            elif top != root:
+                parent[top] = root
+    root_of = {
+        fact: top if parent[top] == top else find(fact)
+        for fact, top in parent.items()
+    }
     members: dict[int, set[int]] = {}
+    for fact, root in root_of.items():
+        members.setdefault(root, set()).add(fact)
     bucket: dict[int, list[frozenset[int]]] = {}
     for group in groups:
-        root = find(next(iter(group)))
-        bucket.setdefault(root, []).append(group)
-    for fact in parent:
-        members.setdefault(find(fact), set()).add(fact)
+        bucket.setdefault(root_of[next(iter(group))], []).append(group)
     return sorted(
         ((members[root], grouped) for root, grouped in bucket.items()),
         key=lambda piece: min(piece[0]),
@@ -332,23 +341,40 @@ def _wide_witnesses(
     yield from recurse(0, {}, [])
 
 
-def _minimize(sets: set[frozenset[int]]) -> list[frozenset[int]]:
-    """⊆-minimal members of the family, deterministic order."""
+def _width_then_ids(group: frozenset[int]) -> tuple[int, list[int]]:
+    return len(group), sorted(group)
+
+
+def _minimize(
+    sets: set[frozenset[int]],
+    key: Callable[[frozenset[int]], tuple] = _width_then_ids,
+) -> list[frozenset[int]]:
+    """⊆-minimal members of the family, deterministic order.
+
+    The order is ``(width, sorted fact ids)``.  A caller-supplied *key*
+    must order members the same way (the live topology passes the
+    ``mi_sort_key`` it already holds per witness instead of rebuilding one
+    per sort).
+    """
     if not sets:
         return []
-    widths = {len(group) for group in sets}
+    widths = set(map(len, sets))
     if len(widths) == 1:
         # Equal-width families are antichains: no proper subset relation can
         # hold between distinct same-size sets, so the input is its own
         # minimization (the common all-binary-DC case lands here).
-        return sorted(sets, key=lambda group: (len(group), sorted(group)))
+        return sorted(sets, key=key)
     if widths == {1, 2}:
         # Singleton absorption: a pair is non-minimal exactly when it
         # contains a self-inconsistent fact.
         poisoned = {next(iter(group)) for group in sets if len(group) == 1}
-        kept = [group for group in sets if len(group) == 1 or not group & poisoned]
-        return sorted(kept, key=lambda group: (len(group), sorted(group)))
-    ordered = sorted(sets, key=lambda group: (len(group), sorted(group)))
+        kept = [
+            group
+            for group in sets
+            if len(group) == 1 or poisoned.isdisjoint(group)
+        ]
+        return sorted(kept, key=key)
+    ordered = sorted(sets, key=key)
     kept = []
     for group in ordered:
         if not any(other <= group for other in kept):

@@ -140,8 +140,14 @@ class ComponentTopology:
         self.dcs = list(dcs)
         self.database = database
         self.generation = 0
-        # witness → positions of the DCs currently producing it.
-        self._tags: dict[frozenset[int], set[int]] = {}
+        # witness → positions of the DCs currently producing it (a list:
+        # nearly always one position, at a quarter of a set's size).
+        self._tags: dict[frozenset[int], list[int]] = {}
+        # witness → ``(mi_sort_key(witness), witness)``, built once when the
+        # witness appears (same keys as ``_tags``).  Regional sorts, splits
+        # and captures read it instead of re-sorting the witness, and the
+        # pair itself is the witness's ``mi_pairs`` entry in any component.
+        self._keyed: dict[frozenset[int], tuple[tuple, frozenset[int]]] = {}
         # fact → present witnesses binding it (attachment ground truth: a
         # component freshly created next to *existing* dominated witnesses
         # must adopt them, even though no region rebuild touched them).
@@ -260,22 +266,26 @@ class ComponentTopology:
         captured verbatim.  Entry lists are sorted so equal topologies
         produce byte-equal payloads regardless of dict insertion history.
         """
+        keyed, tags, dominator = self._keyed, self._tags, self._dominator
+
+        def ids(witness: frozenset[int]) -> tuple[int, ...]:
+            # Every witness the payload names is present, so its sorted ids
+            # are held.  Copied per occurrence: the pickle memoizes shared
+            # objects, and equal states must dump to equal bytes however
+            # they were built.
+            return (*keyed[witness][0][1],)
+
+        # The oracle covers exactly the present witnesses, one entry each,
+        # so one sort by the held ids orders the tag and dominator lists.
+        order = sorted(tags, key=lambda witness: keyed[witness][0][1])
         return {
             "generation": self.generation,
-            "tags": sorted(
-                (tuple(sorted(witness)), tuple(sorted(positions)))
-                for witness, positions in self._tags.items()
-            ),
-            "dominator": sorted(
-                (tuple(sorted(witness)), tuple(sorted(ruler)))
-                for witness, ruler in self._dominator.items()
-            ),
+            "tags": [(ids(w), tuple(sorted(tags[w]))) for w in order],
+            "dominator": [(ids(w), ids(dominator[w])) for w in order],
             "components": [
                 {
-                    "mi": [tuple(sorted(w)) for _, w in component.mi_pairs],
-                    "raw": sorted(
-                        tuple(sorted(w)) for w in component.raw
-                    ),
+                    "mi": [(*key[1],) for key, _ in component.mi_pairs],
+                    "raw": sorted(ids(w) for w in component.raw),
                 }
                 for component in self.components()
             ],
@@ -293,28 +303,34 @@ class ComponentTopology:
         O(state) — no minimization, no union-find, no witness enumeration.
         The caller is responsible for having verified the database
         fingerprint first; the rebuilt object is bit-identical (components,
-        orders, generation, oracle) to the captured one.
+        orders, generation, oracle) to the captured one.  Each witness
+        becomes one ``frozenset``, shared by the tag table, the dominator
+        oracle, the MI families and the raw attachments; a payload naming
+        a witness its tag table lacks raises ``KeyError``.
         """
         topology = cls(dcs, database)
         topology.generation = payload["generation"]
+        keyed = topology._keyed
+        interned: dict[tuple[int, ...], frozenset[int]] = {}
         for ids, positions in payload["tags"]:
-            witness = frozenset(ids)
-            topology._tags[witness] = set(positions)
-            for fact in witness:
+            witness = interned[ids] = frozenset(ids)
+            keyed[witness] = ((len(ids), ids), witness)
+            topology._tags[witness] = list(positions)
+            for fact in ids:
                 topology._binding.setdefault(fact, set()).add(witness)
         for ids, ruler in payload["dominator"]:
-            topology._dominator[frozenset(ids)] = frozenset(ruler)
+            topology._dominator[interned[ids]] = interned[ruler]
         for entry in payload["components"]:
             component = TopologyComponent()
-            mi = [frozenset(ids) for ids in entry["mi"]]
+            mi = [interned[ids] for ids in entry["mi"]]
             component.index.mi_sets = mi
-            component.mi_pairs = [(mi_sort_key(w), w) for w in mi]
+            component.mi_pairs = [keyed[w] for w in mi]
             facts: set[int] = set()
             for witness in mi:
                 facts |= witness
             component.facts = facts
             component.minimum = min(facts)
-            component.raw = {frozenset(ids) for ids in entry["raw"]}
+            component.raw = {interned[ids] for ids in entry["raw"]}
             for fact in facts:
                 topology._component_of[fact] = component
             topology._components.add(component)
@@ -347,9 +363,11 @@ class ComponentTopology:
         for position, witness in retracted:
             tags = self._tags.get(witness)
             if tags is not None:
-                tags.discard(position)
+                if position in tags:
+                    tags.remove(position)
                 if not tags:
                     del self._tags[witness]
+                    del self._keyed[witness]
                     self._dominator.pop(witness, None)
                     for fact in witness:
                         bound = self._binding.get(fact)
@@ -364,12 +382,14 @@ class ComponentTopology:
         for position, witness in inserted:
             tags = self._tags.get(witness)
             if tags is None:
-                self._tags[witness] = {position}
+                self._tags[witness] = [position]
+                self._keyed[witness] = (mi_sort_key(witness), witness)
                 fresh.append(witness)
                 for fact in witness:
                     self._binding.setdefault(fact, set()).add(witness)
             else:
-                tags.add(position)
+                if position not in tags:
+                    tags.append(position)
             for fact in witness:
                 component = self._component_of.get(fact)
                 if component is not None:
@@ -446,6 +466,16 @@ class ComponentTopology:
         tags = self._tags
         dominator = self._dominator
         component_of = self._component_of
+        keyed = self._keyed
+        # Only a previewed insertion can lack a held key.  A keyed pair
+        # sorts as its key does: keys are unique, so the witnesses in the
+        # pairs are never compared.
+        novel = {w: (mi_sort_key(w), w) for w in fresh if w not in keyed}
+        key = (
+            (lambda witness: novel.get(witness) or keyed[witness])
+            if novel
+            else keyed.__getitem__
+        )
         region = set(seeds)
         while True:
             family: set[frozenset[int]] = set(fresh)
@@ -459,7 +489,7 @@ class ComponentTopology:
                         if ruled_by is not None and ruled_by not in region:
                             continue  # status frozen by an untouched dominator
                     family.add(witness)
-            minimized = _minimize(family)
+            minimized = _minimize(family, key)
             expand: set[TopologyComponent] = set()
             for group in minimized:
                 for fact in group:
@@ -507,12 +537,11 @@ class ComponentTopology:
     def _split(self, minimized: list[frozenset[int]]) -> None:
         """Register the connected components of a minimized regional family."""
         binding = self._binding
+        keyed = self._keyed
         for facts, grouped in _connected_groups(minimized):
             component = TopologyComponent()
             component.index.mi_sets = grouped
-            component.mi_pairs = [
-                (mi_sort_key(group), group) for group in grouped
-            ]
+            component.mi_pairs = [keyed[group] for group in grouped]
             component.facts = facts
             component.minimum = min(facts)
             for fact in facts:
@@ -536,8 +565,9 @@ class ComponentTopology:
         """
         index = component.index
         if not index.per_constraint and component.raw:
+            keyed = self._keyed
             entries = sorted(
-                (position, tuple(sorted(witness)), witness)
+                (position, keyed[witness][0][1], witness)
                 for witness in component.raw
                 for position in self._tags.get(witness, ())
             )

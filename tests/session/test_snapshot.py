@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from repro.session import (
     make_session,
     save_snapshot,
 )
-from repro.violations import build_violation_index
+from repro.violations import ComponentTopology, build_violation_index
 
 from .test_sharding import (
     _random_candidates,
@@ -61,7 +62,80 @@ def _assert_sessions_identical(restored, control) -> None:
     ]
 
 
+def _reference_capture(topology) -> dict:
+    """The topology payload encoded witness by witness, one sort each."""
+    return {
+        "generation": topology.generation,
+        "tags": sorted(
+            (tuple(sorted(witness)), tuple(sorted(positions)))
+            for witness, positions in topology._tags.items()
+        ),
+        "dominator": sorted(
+            (tuple(sorted(witness)), tuple(sorted(ruler)))
+            for witness, ruler in topology._dominator.items()
+        ),
+        "components": [
+            {
+                "mi": [tuple(sorted(w)) for _, w in component.mi_pairs],
+                "raw": sorted(tuple(sorted(w)) for w in component.raw),
+            }
+            for component in topology.components()
+        ],
+    }
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("case", [0, 1, 2])
+    def test_topology_capture_and_interned_restore(self, case, case_rng):
+        rng = case_rng
+        schema, constraints = _random_setup(rng)
+        relations = schema.relation_names()
+        database = Database.from_facts(
+            schema,
+            [
+                Fact(
+                    rng.choice(relations),
+                    (rng.randint(0, 4), rng.choice("xyz"), rng.randint(0, 8)),
+                )
+                for _ in range(20)
+            ],
+        )
+        with MeasurementSession(constraints, database) as session:
+            for _ in range(6):
+                for _ in range(rng.randint(1, 5)):
+                    _random_mutation(rng, database, relations)
+                session.index()
+            topology = session.topology
+            payload = topology.capture()
+            reference = _reference_capture(topology)
+            assert payload == reference
+            # No object is shared inside the payload, so it pickles to the
+            # same bytes as the one-sort-per-witness encoding.
+            assert pickle.dumps(
+                payload, protocol=pickle.HIGHEST_PROTOCOL
+            ) == pickle.dumps(reference, protocol=pickle.HIGHEST_PROTOCOL)
+            restored = ComponentTopology.restore(
+                topology.dcs, database, _roundtrip(payload)
+            )
+        assert restored.capture() == payload
+        # One frozenset per witness, shared by every table that names it.
+        held: dict = {}
+
+        def shared(witness) -> None:
+            assert held.setdefault(witness, witness) is witness
+
+        for witness in restored._tags:
+            shared(witness)
+            assert restored._keyed[witness][1] is witness
+        for witness, ruler in restored._dominator.items():
+            shared(witness)
+            shared(ruler)
+        for component in restored.components():
+            for witness in component.index.mi_sets:
+                shared(witness)
+            for witness in component.raw:
+                shared(witness)
+
     @pytest.mark.parametrize("case", [0, 1, 2])
     def test_flat_round_trip_bit_identical(self, case, case_rng):
         rng = case_rng

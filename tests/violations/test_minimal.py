@@ -1,6 +1,8 @@
 """Unit tests for minimal-inconsistent-subset enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constraints import FunctionalDependency, parse_dc
 from repro.constraints.dc import DenialConstraint, Predicate, Term
@@ -13,7 +15,7 @@ from repro.violations import (
     lower_constraints,
     violations_of,
 )
-from repro.violations.minimal import find_first_violation
+from repro.violations.minimal import _connected_groups, find_first_violation
 
 
 @pytest.fixture
@@ -159,3 +161,46 @@ class TestHelpers:
         fast = build_violation_index([fd], db).mi_sets
         slow = build_violation_index([fd], db, force_nested_loop=True).mi_sets
         assert sorted(map(sorted, fast)) == sorted(map(sorted, slow))
+
+
+def _reference_components(groups):
+    """Breadth-first search over the fact–group incidence: the oracle."""
+    by_fact: dict = {}
+    for position, group in enumerate(groups):
+        for fact in group:
+            by_fact.setdefault(fact, []).append(position)
+    reached: set = set()
+    pieces = []
+    for start in range(len(groups)):
+        if start in reached:
+            continue
+        reached.add(start)
+        frontier, members, facts = [start], [], set()
+        while frontier:
+            position = frontier.pop()
+            members.append(position)
+            for fact in groups[position] - facts:
+                facts.add(fact)
+                for other in by_fact[fact]:
+                    if other not in reached:
+                        reached.add(other)
+                        frontier.append(other)
+        pieces.append((facts, [groups[p] for p in sorted(members)]))
+    return sorted(pieces, key=lambda piece: min(piece[0]))
+
+
+# Facts from a narrow range overlap often (wide groups chain components);
+# facts from a wide one mostly stay apart (singleton components).
+_facts = st.one_of(st.integers(0, 12), st.integers(13, 400))
+_families = st.lists(
+    st.frozensets(_facts, min_size=1, max_size=6), max_size=40
+)
+
+
+class TestConnectedGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(_families)
+    def test_matches_breadth_first_reference(self, groups):
+        # Same partition, components ordered by smallest member, and each
+        # component's groups in input order.
+        assert _connected_groups(groups) == _reference_components(groups)

@@ -17,7 +17,7 @@ import pytest
 from repro.constraints import FunctionalDependency
 from repro.relational import Database, Fact, Schema
 from repro.session import MeasurementSession
-from repro.violations import build_violation_index
+from repro.violations import build_violation_index, mi_sort_key
 
 from ..session.test_session import (
     _constraint_suites,
@@ -54,6 +54,22 @@ def _assert_matches_scratch(session: MeasurementSession, constraints, database):
         assert component.minimum == min(component.facts)
         for fact in component.facts:
             assert topology.component_of(fact) is component
+    _assert_key_table(topology)
+
+
+def _assert_key_table(topology) -> None:
+    """The key table holds exactly the live witnesses, each keyed once."""
+    keyed = topology._keyed
+    assert keyed.keys() == topology._tags.keys()
+    # Capture orders the dominator entries by the tag table's sort.
+    assert topology._dominator.keys() == topology._tags.keys()
+    for witness, (key, held) in keyed.items():
+        assert key == mi_sort_key(witness)
+        assert held == witness
+    for component in topology.components():
+        # Components reuse the table's pairs instead of building their own.
+        for pair in component.mi_pairs:
+            assert pair is keyed[pair[1]]
 
 
 class TestRandomizedEquivalence:
